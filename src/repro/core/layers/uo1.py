@@ -28,7 +28,6 @@ from repro.gossip.descriptors import Descriptor
 from repro.gossip.views import make_view
 from repro.sim.config import GossipParams
 from repro.sim.engine import RoundContext
-from repro.sim.network import Network
 from repro.sim.protocol import Protocol
 from repro.sim.transport import ExchangeRequest
 
@@ -182,31 +181,25 @@ class SameComponentOverlay(Protocol):
 
     def _harvest(self, ctx: RoundContext) -> None:
         """Adopt same-component peers appearing in the global random view."""
-        if not ctx.node.has_protocol(self.random_layer):
-            return
-        for node_id in ctx.node.protocol(self.random_layer).neighbors():
-            if node_id == self.node_id or not ctx.network.is_alive(node_id):
-                continue
-            if not ctx.transport.reachable(ctx, node_id):
-                continue  # harvesting across the cut would leak state
-            peer = ctx.network.node(node_id)
-            if not peer.has_protocol(self.layer):
-                continue
-            peer_protocol = peer.protocol(self.layer)
-            assert isinstance(peer_protocol, SameComponentOverlay)
-            descriptor = peer_protocol.self_descriptor()
+        for peer in ctx.live_peers(self.layer, self.random_layer, self.node_id):
+            assert isinstance(peer, SameComponentOverlay)
+            descriptor = peer.self_descriptor()
             if self._accepts(descriptor):
                 self.view.insert(descriptor)
 
     def _choose_partner(self, ctx: RoundContext) -> Optional[Descriptor]:
+        peers = ctx.network.layer_index(self.layer)
         while len(self.view):
             candidate = self.view.oldest()
             if candidate is None:
                 break
-            if ctx.network.is_alive(candidate.node_id) and self._partner_valid(
-                ctx.network, candidate.node_id
-            ):
-                return candidate
+            # A partner must still run UO1 *for the same component* (it may
+            # have been reassigned by a reconfiguration since we learned of it).
+            peer = peers.get(candidate.node_id)
+            if peer is not None:
+                assert isinstance(peer, SameComponentOverlay)
+                if peer.profile.component == self.profile.component:
+                    return candidate
             if ctx.network.is_alive(candidate.node_id):
                 # Reassigned to another component — invalid partner, but not
                 # dead; no tombstone (it may rejoin this component later).
@@ -217,16 +210,6 @@ class SameComponentOverlay(Protocol):
                 if ctx.obs is not None:
                     ctx.obs.count_key(self._k_dead)
         return None
-
-    def _partner_valid(self, network: Network, node_id: int) -> bool:
-        """A partner must still run UO1 *for the same component* (it may have
-        been reassigned by a reconfiguration since we learned about it)."""
-        peer = network.node(node_id)
-        if not peer.has_protocol(self.layer):
-            return False
-        peer_protocol = peer.protocol(self.layer)
-        assert isinstance(peer_protocol, SameComponentOverlay)
-        return peer_protocol.profile.component == self.profile.component
 
     def _make_buffer(self, ctx: RoundContext, flow=None) -> List[Descriptor]:
         advert = self.self_descriptor()

@@ -185,19 +185,9 @@ class DistantComponentOverlay(Protocol):
 
     def _harvest(self, ctx: RoundContext) -> None:
         """Adopt foreign-component peers from the global random view."""
-        if not ctx.node.has_protocol(self.random_layer):
-            return
-        for node_id in ctx.node.protocol(self.random_layer).neighbors():
-            if node_id == self.node_id or not ctx.network.is_alive(node_id):
-                continue
-            if not ctx.transport.reachable(ctx, node_id):
-                continue  # harvesting across the cut would leak state
-            peer = ctx.network.node(node_id)
-            if not peer.has_protocol(self.layer):
-                continue
-            peer_protocol = peer.protocol(self.layer)
-            assert isinstance(peer_protocol, DistantComponentOverlay)
-            self._insert(peer_protocol.self_descriptor())
+        for peer in ctx.live_peers(self.layer, self.random_layer, self.node_id):
+            assert isinstance(peer, DistantComponentOverlay)
+            self._insert(peer.self_descriptor())
 
     def _choose_partner(self, ctx: RoundContext) -> Optional[int]:
         """Alternate between a same-component partner (spread foreign contact
@@ -212,17 +202,15 @@ class DistantComponentOverlay(Protocol):
                 if ctx.network.is_alive(node_id)
             ]
         if not candidates:
+            # Ids only: iterating descriptors would settle each bucket's aging.
             candidates = [
-                descriptor.node_id
+                node_id
                 for bucket in self.buckets.values()
-                for descriptor in bucket
-                if ctx.network.is_alive(descriptor.node_id)
+                for node_id in bucket.ids()
+                if ctx.network.is_alive(node_id)
             ]
-        candidates = [
-            node_id
-            for node_id in candidates
-            if ctx.network.node(node_id).has_protocol(self.layer)
-        ]
+        peers = ctx.network.layer_index(self.layer)
+        candidates = [node_id for node_id in candidates if node_id in peers]
         if not candidates:
             return None
         return rng.choice(candidates)
@@ -247,22 +235,20 @@ class DistantComponentOverlay(Protocol):
         advert = self.self_descriptor()
         if flow is not None:
             advert = flow.advertise(advert, self.node_id, ctx.round)
-        buffer = [advert]
         limit = self.gossip_contacts - 1
+        # Every known bucket is non-empty, so the first ``limit`` components
+        # fill the buffer at depth 0: the rest are never ranked (nor settled).
         per_component = [
-            self._bucket_heads(name, limit) for name in self.known_components()
+            self._bucket_heads(name, limit)
+            for name in self.known_components()[:limit]
         ]
-        depth = 0
-        while len(buffer) < self.gossip_contacts:
-            added = False
-            for contacts in per_component:
-                if depth < len(contacts) and len(buffer) < self.gossip_contacts:
-                    buffer.append(contacts[depth])
-                    added = True
-            if not added:
-                break
-            depth += 1
-        return buffer
+        round_robin = [
+            contacts[depth]
+            for depth in range(limit)
+            for contacts in per_component
+            if depth < len(contacts)
+        ]
+        return [advert] + round_robin[:limit]
 
     def _merge(self, ctx: RoundContext, received: List[Descriptor]) -> None:
         adopted = 0

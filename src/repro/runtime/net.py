@@ -116,12 +116,12 @@ class NetDirectory:
     """A :class:`~repro.sim.network.Network` view of one node plus its peers.
 
     The gossip layers interrogate their network through a narrow surface —
-    ``node`` / ``has_node`` / ``is_alive`` / ``alive_ids`` — and this class
-    answers it from the membership table the wire protocol maintains.
-    Remote nodes are materialized lazily as facade :class:`Node` instances
-    (real protocol objects, empty views) so layer-side ``isinstance``
-    checks and ``self_descriptor()`` reads behave exactly as in the
-    simulator.
+    ``node`` / ``has_node`` / ``is_alive`` / ``alive_ids`` / ``layer_index``
+    — and this class answers it from the membership table the wire protocol
+    maintains. Remote nodes are materialized lazily as facade :class:`Node`
+    instances (real protocol objects, empty views) so layer-side
+    ``isinstance`` checks and ``self_descriptor()`` reads behave exactly as
+    in the simulator.
     """
 
     def __init__(self, local: Node, make_facade: Callable[[int], Node]):
@@ -184,6 +184,19 @@ class NetDirectory:
         if peer is None:
             return False
         return self.round - peer.last_seen_round <= LIVENESS_WINDOW
+
+    def layer_index(self, layer: str) -> Dict[int, Any]:
+        """``{node_id: protocol}`` for the live members that run ``layer``.
+
+        Rebuilt per call: liveness moves with the round counter and with
+        every received datagram, and a swarm knows tens of peers.
+        """
+        nodes = [self.node(node_id) for node_id in self.alive_ids()]
+        return {
+            node.node_id: node.protocol(layer)
+            for node in nodes
+            if node.has_protocol(layer)
+        }
 
     def node_ids(self) -> List[int]:
         return sorted([self.local.node_id, *self.peers])

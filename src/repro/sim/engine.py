@@ -23,6 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.instrument import Instrument
     from repro.sim.controls import Actuator, Control
     from repro.sim.node import Node
+    from repro.sim.protocol import Protocol
 
 
 @dataclass
@@ -96,6 +97,30 @@ class RoundContext:
         if self.faults is None or not self.faults.active:
             return True
         return self.faults.reachable(self.node.node_id, peer)
+
+    def live_peers(
+        self, layer: str, source: Optional[str], node_id: int
+    ) -> List["Protocol"]:
+        """The ``layer`` protocols of the live, reachable peers that node
+        ``node_id`` lists on its ``source`` layer (none without one).
+
+        The one peek at neighbours' state (Vicinity, T-Man, UO1, UO2): dead
+        nodes and nodes without ``layer`` drop out through the network's
+        layer index, nodes behind a partition cut through the transport.
+        ``node_id`` is the peeking protocol's own node, not ``ctx.node``: in
+        a passive ``on_gossip`` the context belongs to the requester.
+        """
+        own = self.network.node(node_id)
+        if source is None or not own.has_protocol(source):
+            return []
+        index = self.network.layer_index(layer)
+        reachable = self.transport.reachable
+        peers = []
+        for peer_id in own.protocol(source).neighbors():
+            peer = index.get(peer_id)
+            if peer is not None and peer_id != node_id and reachable(self, peer_id):
+                peers.append(peer)
+        return peers
 
 
 class Engine:

@@ -7,6 +7,7 @@ from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.node import Node
+from repro.sim.protocol import Protocol
 
 
 class Network:
@@ -20,21 +21,29 @@ class Network:
     The list of live node ids is cached and invalidated on population or
     liveness changes: uniform random draws (:meth:`random_alive`) are on the
     hot path of every gossip round and must not rescan the population.
+    So is the per-layer peer index (:meth:`layer_index`), which a node's
+    stack change also drops (without touching the live-id list).
     """
 
     def __init__(self) -> None:
         self._nodes: Dict[int, Node] = {}
         self._next_id = 0
         self._alive_cache: Optional[List[int]] = None
+        self._layer_indexes: Dict[str, Dict[int, Protocol]] = {}
 
     def _invalidate(self) -> None:
         self._alive_cache = None
+        self._layer_indexes.clear()
+
+    def restacked(self, layer: str) -> None:
+        """Drop the peer index of ``layer`` (a node's stack changed there)."""
+        self._layer_indexes.pop(layer, None)
 
     # -- population management ----------------------------------------------
 
     def create_node(self) -> Node:
         """Create, register and return a fresh node."""
-        node = Node(self._next_id)
+        node = Node(self._next_id, network=self)
         self._next_id += 1
         self._nodes[node.node_id] = node
         self._invalidate()
@@ -75,6 +84,21 @@ class Network:
     def is_alive(self, node_id: int) -> bool:
         node = self._nodes.get(node_id)
         return node is not None and node.alive
+
+    def layer_index(self, layer: str) -> Dict[int, Protocol]:
+        """``{node_id: protocol}`` for the live nodes that run ``layer``.
+
+        Holds protocol objects, never their descriptors, so a profile
+        change made in place is seen without invalidation.
+        """
+        index = self._layer_indexes.get(layer)
+        if index is None:
+            index = self._layer_indexes[layer] = {
+                node_id: node.protocol(layer)
+                for node_id, node in self._nodes.items()
+                if node.alive and node.has_protocol(layer)
+            }
+        return index
 
     def nodes(self) -> Iterator[Node]:
         """All registered nodes, dead or alive, in id order."""

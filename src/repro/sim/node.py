@@ -9,11 +9,12 @@ how Vicinity taps the peer-sampling layer for its "pinch of randomness".
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.network import Network
     from repro.sim.protocol import Protocol
 
 
@@ -30,16 +31,20 @@ class Node:
         gossip.
     attributes:
         Free-form application metadata (e.g. the node's role assignment).
+    network:
+        The registering :class:`~repro.sim.network.Network`, told of stack
+        changes so its per-layer peer index stays true.
     """
 
-    __slots__ = ("node_id", "alive", "attributes", "_stack", "_order")
+    __slots__ = ("node_id", "alive", "attributes", "_stack", "_order", "_network")
 
-    def __init__(self, node_id: int):
+    def __init__(self, node_id: int, network: Optional["Network"] = None):
         self.node_id = int(node_id)
         self.alive = True
         self.attributes: Dict[str, Any] = {}
         self._stack: Dict[str, "Protocol"] = {}
         self._order: List[str] = []
+        self._network = network
 
     # -- protocol stack ----------------------------------------------------
 
@@ -49,6 +54,8 @@ class Node:
             raise SimulationError(f"node {self.node_id} already has a protocol {name!r}")
         self._stack[name] = protocol
         self._order.append(name)
+        if self._network is not None:
+            self._network.restacked(name)
         return protocol
 
     def replace(self, name: str, protocol: "Protocol") -> "Protocol":
@@ -60,6 +67,8 @@ class Node:
         if name not in self._stack:
             raise SimulationError(f"node {self.node_id} has no protocol {name!r}")
         self._stack[name] = protocol
+        if self._network is not None:
+            self._network.restacked(name)
         return protocol
 
     def protocol(self, name: str) -> "Protocol":

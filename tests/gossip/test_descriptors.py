@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
-from repro.gossip.descriptors import Descriptor, youngest
+from repro.gossip.descriptors import Descriptor, Provenance, youngest
 
 
 class TestImmutability:
@@ -67,3 +69,62 @@ class TestYoungest:
         a = Descriptor(1, 3, "a")
         b = Descriptor(1, 3, "b")
         assert youngest(a, b) is a
+
+
+def _derived_copies():
+    base = Descriptor(4, 2, "p", Provenance(4, 0, 0))
+    return {
+        "aged": base.aged(),
+        "fresh": base.fresh(),
+        "with_profile": base.with_profile("q"),
+        "tagged": base.tagged(Provenance(9, 1, 2)),
+        "hopped": base.hopped(),
+    }
+
+
+class TestConstructionContract:
+    @pytest.mark.parametrize("kind", sorted(_derived_copies()))
+    @pytest.mark.parametrize("field", ["node_id", "age", "profile", "provenance"])
+    def test_every_derived_copy_is_immutable(self, kind, field):
+        copy = _derived_copies()[kind]
+        with pytest.raises(AttributeError):
+            setattr(copy, field, 0)
+
+    def test_derived_copies_carry_their_fields(self):
+        copies = _derived_copies()
+        assert (copies["aged"].age, copies["fresh"].age) == (3, 0)
+        assert copies["with_profile"].profile == "q"
+        assert copies["tagged"].provenance == Provenance(9, 1, 2)
+        assert copies["hopped"].provenance == Provenance(4, 0, 1)
+        assert all(copy.node_id == 4 for copy in copies.values())
+
+    def test_untagged_hop_is_the_same_object(self):
+        descriptor = Descriptor(1, 1)
+        assert descriptor.hopped() is descriptor
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            Descriptor(3, 5, ("ring", 2)),
+            Descriptor(3, 0, None, Provenance(3, 7, 2)),
+        ],
+    )
+    def test_pickle_round_trip(self, descriptor):
+        restored = pickle.loads(pickle.dumps(descriptor))
+        assert restored == descriptor
+        assert restored.profile == descriptor.profile
+        assert restored.provenance == descriptor.provenance
+        with pytest.raises(AttributeError):
+            restored.age = 1  # type: ignore[misc]
+
+    def test_bool_ids_and_ages_become_ints(self):
+        descriptor = Descriptor(True, False)
+        assert type(descriptor.node_id) is int and descriptor.node_id == 1
+        assert type(descriptor.age) is int and descriptor.age == 0
+
+    def test_numpy_ids_and_ages_become_ints(self):
+        np = pytest.importorskip("numpy")
+        descriptor = Descriptor(np.int64(7), np.int32(3)).aged(np.int16(2))
+        assert type(descriptor.node_id) is int and descriptor.node_id == 7
+        assert type(descriptor.age) is int and descriptor.age == 5
+        assert hash(descriptor) == hash(Descriptor(7, 5))

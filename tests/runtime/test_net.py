@@ -79,6 +79,24 @@ class TestNetDirectory:
         assert directory.is_alive(1)
         assert directory.alive_ids() == [0, 1]
 
+    def test_layer_index_follows_liveness(self):
+        def make_facade(node_id: int) -> Node:
+            node = Node(node_id)
+            node.attach("layer", f"protocol-{node_id}")
+            return node
+
+        local = Node(0)
+        local.attach("layer", "protocol-0")
+        directory = NetDirectory(local, make_facade)
+        directory.add_peer(1, "127.0.0.1", 9001)
+        directory.round += LIVENESS_WINDOW
+        directory.add_peer(2, "127.0.0.1", 9002)
+        expected = {0: "protocol-0", 1: "protocol-1", 2: "protocol-2"}
+        assert directory.layer_index("layer") == expected
+        directory.round += 1  # peer 1 falls out of the window
+        assert directory.layer_index("layer") == {0: "protocol-0", 2: "protocol-2"}
+        assert directory.layer_index("other") == {}
+
     def test_touch_unknown_peer_is_noop(self):
         directory, _ = make_directory()
         directory.touch(42)
